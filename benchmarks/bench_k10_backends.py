@@ -95,8 +95,10 @@ def measure_crossover(n: int, reps: int) -> list[dict]:
     backend = NumpyBackend()
     rows = []
     for density in DENSITIES:
-        masks = _masks(n, reps, density)
-        t_scatter = _time_calls(lambda: backend._scatter_from_masks(adj, masks))
+        # Trial-major (R, n) state passed as its transpose: the layout the
+        # batch engine sends, and the one calibration times.
+        masks = np.ascontiguousarray(_masks(n, reps, density).T).T
+        t_scatter = _time_calls(lambda: backend._scatter(adj, masks))
         t_matmul = _time_calls(lambda: backend._matmul(adj, masks))
         rows.append(
             {

@@ -7,31 +7,42 @@ bit-for-bit: the golden-digest suites and the ``jobs=1 ≡ jobs=N ≡
 fabric(N)`` byte-identity guarantees all run on this backend by default.
 
 Two execution paths for the batched kernel, chosen by transmission
-volume:
+volume before either runs (the work estimate needs one per-node count
+of transmitting trials, not the scatter's gather):
 
-* **scatter** — when few nodes transmit (the common case for
-  ``1/d``-selective protocol rounds), gather the transmitters' CSR rows
-  and accumulate one :func:`numpy.bincount` over a flattened ``(R, n)``
-  index space.  Work scales with the number of transmitting-node edge
-  endpoints, not with ``nnz × R``.
-* **matmul** — when transmitters are dense (flood rounds), one
-  CSR×dense product traverses the structure once for all columns.  The
-  bool→int64 cast goes through a cached scratch buffer on the adjacency
-  (``_dense_buf``), so the hot path allocates only the output; an
-  already-int64, already-C-contiguous input skips the cast entirely.
+* **scatter** — when few nodes transmit (early rounds, before the
+  message has spread), gather the transmitters' CSR rows and accumulate
+  one :func:`numpy.bincount` over a flattened ``(R, n)`` index space.
+  Work scales with the number of transmitting-node edge endpoints, not
+  with ``nnz × R``.
+* **matmul** — when transmitters are dense (flood rounds, and the
+  ``1/d``-selective rounds of the paper's protocols), one CSR×dense
+  product traverses the structure once for all columns.  It multiplies
+  a cached CSR copy in the narrowest of int16/int32/int64 that holds
+  the graph's maximum degree (a count never exceeds it): int16 on any
+  ``G(n, p)`` the experiments run, a quarter of the int64 value bytes
+  for the product to stream.  The mask cast goes through a cached
+  scratch buffer of that dtype (``_dense_buf``) and the counts are
+  widened to int64 on return.  An already-int64, already-C-contiguous
+  input skips the cast and uses the int64 matrix.
+
+Both paths return counts in the input's orientation: the batch engine's
+trial-major transposes get a trial-major result back, so its
+elementwise reception rule stays contiguous.
 
 The crossover is governed by :attr:`NumpyBackend.scatter_cost` — the
 estimated cost of one gathered scatter endpoint in units of one matmul
 ``nnz × R`` cell.  Historically a hard-coded 4; now calibrated once by
-:meth:`NumpyBackend.calibrate` (a ~10 ms timing of both paths on a
+:meth:`NumpyBackend.calibrate` (a ~25 ms timing of both paths on a
 synthetic circulant graph), overridable with the
 ``REPRO_SCATTER_COST`` environment variable.  The measured value is
 **persisted** to ``~/.cache/repro/scatter_cost.json`` (override the
 directory with ``REPRO_CACHE_DIR``) so fresh processes — every serve
 worker, every fabric worker — skip the probe; the entry is keyed by
-numpy version and re-measured when numpy changes.  Calibration affects
-only *which* path runs — both paths return identical integer counts —
-so it never perturbs trajectories or digests.
+numpy version and kernel revision and re-measured when either changes.
+Calibration affects only *which* path runs — both paths return
+identical integer counts — so it never perturbs trajectories or
+digests.
 """
 
 from __future__ import annotations
@@ -42,6 +53,7 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+import scipy.sparse as sp
 
 from .base import KernelBackend, register_backend
 
@@ -53,12 +65,19 @@ _DEFAULT_SCATTER_COST = 4.0
 
 #: Calibration results are clamped into this range: a pathological
 #: timing environment must not be able to force one path forever.
-_SCATTER_COST_BOUNDS = (1.0, 32.0)
+_SCATTER_COST_BOUNDS = (1.0, 256.0)
 
 #: Environment override for the on-disk calibration cache directory.
 _CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _CALIBRATION_FILENAME = "scatter_cost.json"
+
+#: Revision of the two timed kernels, recorded with every persisted
+#: measurement.  Bump it whenever either path's cost changes shape: a
+#: crossover measured against an older kernel would otherwise pin the
+#: decision for every later process.  Revision 2 is the narrow-dtype,
+#: layout-preserving matmul.
+_KERNEL_REVISION = 2
 
 
 def _calibration_cache_path() -> Path:
@@ -70,15 +89,20 @@ def _calibration_cache_path() -> Path:
 def _load_calibration() -> float | None:
     """The persisted crossover, or ``None`` when absent/stale/corrupt.
 
-    An entry written under a different numpy version is stale — the
-    relative cost of bincount vs CSR matmat shifts across releases —
-    and is ignored, forcing a fresh measurement.
+    An entry written under a different numpy version or kernel
+    revision is stale — the relative cost of bincount vs CSR matmat
+    shifts across releases and kernel rewrites — and is ignored,
+    forcing a fresh measurement.
     """
     try:
         payload = json.loads(_calibration_cache_path().read_text())
     except (OSError, ValueError):
         return None
-    if not isinstance(payload, dict) or payload.get("numpy") != np.__version__:
+    if (
+        not isinstance(payload, dict)
+        or payload.get("numpy") != np.__version__
+        or payload.get("kernel_revision") != _KERNEL_REVISION
+    ):
         return None
     cost = payload.get("scatter_cost")
     if isinstance(cost, bool) or not isinstance(cost, (int, float)):
@@ -94,9 +118,12 @@ def _store_calibration(cost: float) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps({"numpy": np.__version__, "scatter_cost": cost}) + "\n"
-        )
+        payload = {
+            "numpy": np.__version__,
+            "kernel_revision": _KERNEL_REVISION,
+            "scatter_cost": cost,
+        }
+        tmp.write_text(json.dumps(payload) + "\n")
         tmp.replace(path)
     except OSError:
         pass
@@ -148,11 +175,11 @@ class NumpyBackend(KernelBackend):
 
         ``REPRO_SCATTER_COST`` (a float) skips the measurement; else a
         persisted measurement from a previous process is reused when
-        its numpy version still matches; else both paths are timed on a
-        synthetic graph at a sparse transmitter density, the per-unit
-        cost ratio is taken, clamped into ``[1, 32]``, and persisted
-        for the next process.  ``force=True`` re-measures (and
-        refreshes the persisted entry).
+        its numpy version and kernel revision still match; else both
+        paths are timed on a synthetic graph at a sparse transmitter
+        density, the per-unit cost ratio is taken, clamped into
+        ``[1, 256]``, and persisted for the next process.
+        ``force=True`` re-measures (and refreshes the persisted entry).
         """
         if self._scatter_cost is not None and not force:
             return self._scatter_cost
@@ -177,24 +204,24 @@ class NumpyBackend(KernelBackend):
     def _measure_scatter_cost(self) -> float:
         adj = _calibration_graph()
         n, reps = adj.n, 32
-        adj.matrix()  # exclude one-off CSR construction from the timing
-        # Measure near the expected crossover (~6% transmitter density,
-        # which is also the ~1/d transmit rate of the protocols): the
-        # scatter path's fixed per-call overhead (flatnonzero, divmod,
+        _count_matrix(adj)  # exclude one-off CSR construction from the timing
+        # Measure near the protocols' ~1/d transmit rate (~6% density):
+        # the scatter path's fixed per-call overhead (flatnonzero, divmod,
         # cumsum scale with n·R, not with work) would be misattributed
-        # to per-endpoint cost at sparse densities, underestimating the
-        # constant exactly where the decision is made.
+        # to per-endpoint cost at sparse densities.  The masks are laid
+        # out as the batch engine sends them: trial-major (R, n) state
+        # passed as its transpose.
         rng = np.random.default_rng(0)
-        masks = rng.random((n, reps)) < 0.06
-        work = int(adj.degrees[np.flatnonzero(masks) // reps].sum())
+        masks = (rng.random((reps, n)) < 0.06).T
+        work = int(adj.degrees @ _transmitting_trials(masks))
         cells = adj.indices.size * reps
         if work == 0:  # degenerate draw; keep the historical constant
             return _DEFAULT_SCATTER_COST
         t_scatter = min(
-            self._time(lambda: self._scatter_from_masks(adj, masks)) for _ in range(3)
+            self._time(lambda: self._scatter(adj, masks)) for _ in range(5)
         )
         t_matmul = min(
-            self._time(lambda: self._matmul(adj, masks)) for _ in range(3)
+            self._time(lambda: self._matmul(adj, masks)) for _ in range(5)
         )
         per_endpoint = t_scatter / work
         per_cell = t_matmul / cells
@@ -220,13 +247,28 @@ class NumpyBackend(KernelBackend):
         return adj.matrix().dot(adj._mask_buf)
 
     def _neighbor_counts_batch(self, adj, masks: np.ndarray) -> np.ndarray:
-        n, reps = masks.shape
-        # Work in whichever orientation is contiguous: the batch engine
-        # keeps trial-major (R, n) state and hands us its transpose, and a
-        # single flatnonzero over the contiguous base beats a strided 2-D
-        # nonzero by ~3x.  The returned counts inherit the input's layout,
+        # The batch engine keeps trial-major (R, n) state and hands us its
+        # transpose; both paths return counts in the input's orientation,
         # so downstream elementwise ops stay contiguous either way.
-        trial_major = masks.T.flags.c_contiguous and not masks.flags.c_contiguous
+        _, reps = masks.shape
+        # Decide before paying for the scatter's gather: work is the
+        # number of edge endpoints the scatter path would gather.
+        work = int(adj.degrees @ _transmitting_trials(masks))
+        if work * self.scatter_cost >= adj.indices.size * reps:
+            self._last_path = "matmul"
+            return self._matmul(adj, masks)
+        self._last_path = "scatter"
+        return self._scatter(adj, masks)
+
+    def _scatter(self, adj, masks: np.ndarray) -> np.ndarray:
+        """Sparse-transmitter path: gather rows, one flat ``bincount``.
+
+        Works in whichever orientation is contiguous: a single
+        flatnonzero over the contiguous base beats a strided 2-D nonzero
+        by ~3x.
+        """
+        n, reps = masks.shape
+        trial_major = _is_trial_major(masks)
         base = masks.T if trial_major else np.ascontiguousarray(masks)
         flat_in = np.flatnonzero(base)
         if trial_major:
@@ -236,12 +278,6 @@ class NumpyBackend(KernelBackend):
         lengths = adj.degrees[node]
         cumlen = np.cumsum(lengths)
         work = int(cumlen[-1]) if lengths.size else 0
-        if work * self.scatter_cost >= adj.indices.size * reps:
-            self._last_path = "matmul"
-            return self._matmul(adj, masks)
-        self._last_path = "scatter"
-        if work == 0:
-            return np.zeros((n, reps), dtype=np.int64)
         if adj._gather_arange is None or adj._gather_arange.size < work:
             adj._gather_arange = np.arange(work, dtype=np.int64)
         starts = adj.indptr[node]
@@ -258,40 +294,71 @@ class NumpyBackend(KernelBackend):
     def _matmul(self, adj, masks: np.ndarray) -> np.ndarray:
         """Dense-transmitter path: one CSR×dense product for all columns.
 
-        scipy's CSR matmat wants a C-contiguous ``(n, R)`` operand; the
-        cast (and re-layout, for the batch engine's trial-major
-        transposes) lands in one cached scratch buffer instead of a
-        fresh per-round allocation.  Already-conforming int64 input is
-        used as-is.
+        Already-conforming int64 C-contiguous input goes straight through
+        the int64 :meth:`~repro.graphs.adjacency.Adjacency.matrix`.  Any
+        other input is cast into a cached scratch buffer of the
+        adjacency's narrow count dtype (:func:`_count_matrix`) — scipy's
+        matmat wants a C-contiguous ``(n, R)`` operand, so the batch
+        engine's trial-major transposes are re-laid out in the same
+        pass — and multiplied by the narrow CSR copy.  The narrow counts
+        are widened to int64 in the input's orientation.
         """
         if masks.dtype == np.int64 and masks.flags.c_contiguous:
             return adj.matrix().dot(masks)
+        matrix = _count_matrix(adj)
         need = masks.size
         buf = adj._dense_buf
         if buf is None or buf.size < need:
-            buf = adj._dense_buf = np.empty(need, dtype=np.int64)
+            buf = adj._dense_buf = np.empty(need, dtype=matrix.dtype)
         dense = buf[:need].reshape(masks.shape)
         np.copyto(dense, masks, casting="unsafe")
-        return adj.matrix().dot(dense)
+        counts = matrix.dot(dense)
+        if _is_trial_major(masks):
+            out = np.empty(masks.shape[::-1], dtype=np.int64)
+            np.copyto(out.T, counts)
+            return out.T
+        return counts.astype(np.int64)
 
-    def _scatter_from_masks(self, adj, masks: np.ndarray) -> np.ndarray:
-        """Scatter path from raw masks (calibration/tests entry point)."""
-        n, reps = masks.shape
-        base = np.ascontiguousarray(masks)
-        flat_in = np.flatnonzero(base)
-        node, col = np.divmod(flat_in, reps)
-        lengths = adj.degrees[node]
-        cumlen = np.cumsum(lengths)
-        work = int(cumlen[-1]) if lengths.size else 0
-        if work == 0:
-            return np.zeros((n, reps), dtype=np.int64)
-        if adj._gather_arange is None or adj._gather_arange.size < work:
-            adj._gather_arange = np.arange(work, dtype=np.int64)
-        starts = adj.indptr[node]
-        offsets = np.repeat(starts - (cumlen - lengths), lengths)
-        neighbours = adj.indices[offsets + adj._gather_arange[:work]]
-        flat_out = neighbours * np.int64(reps) + np.repeat(col, lengths)
-        return np.bincount(flat_out, minlength=n * reps).reshape(n, reps)
+
+def _is_trial_major(masks: np.ndarray) -> bool:
+    """Whether ``masks`` is the transpose of a C-contiguous ``(R, n)``."""
+    return masks.T.flags.c_contiguous and not masks.flags.c_contiguous
+
+
+def _transmitting_trials(masks: np.ndarray) -> np.ndarray:
+    """For every node (row), the number of trials in which it transmits.
+
+    Summing a bool array's bytes into a ``uint16`` accumulator is ~4x
+    faster than :func:`numpy.count_nonzero`'s ``intp`` sum, and exact
+    while the trial count fits the accumulator.
+    """
+    if masks.dtype == np.bool_ and masks.shape[1] <= np.iinfo(np.uint16).max:
+        return masks.view(np.uint8).sum(axis=1, dtype=np.uint16)
+    return np.count_nonzero(masks, axis=1)
+
+
+def _count_dtype(max_degree: int) -> np.dtype:
+    """The narrowest of int16/int32/int64 that holds ``max_degree``.
+
+    A neighbour count never exceeds the node's degree, so counting in
+    this dtype is exact; the narrower the operands, the less memory the
+    CSR×dense product streams through.
+    """
+    for dtype in (np.int16, np.int32):
+        if max_degree <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _count_matrix(adj):
+    """The adjacency's cached CSR copy in its narrow count dtype."""
+    if adj._count_matrix is None:
+        dtype = _count_dtype(adj.max_degree)
+        adj._count_matrix = sp.csr_matrix(
+            (np.ones(adj.indices.size, dtype=dtype), adj.indices, adj.indptr),
+            shape=(adj.n, adj.n),
+        )
+    return adj._count_matrix
 
 
 register_backend(NumpyBackend)

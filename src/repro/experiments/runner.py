@@ -182,7 +182,9 @@ def protocol_times(
     Protocols that advertise ``supports_batch`` (uniform, decay, the
     Theorem 7 randomized protocol) are measured on the batched engine
     (:func:`~repro.radio.engine.run_broadcast_batch`): all repetitions
-    advance in lockstep, one CSR×dense matmul per round.  The per-trial
+    advance in lockstep, one batched count-kernel call per round (on
+    the numpy backend a gather/bincount scatter or a CSR×dense matmul,
+    whichever the transmitter density favours).  The per-trial
     streams are spawned identically in both paths, so the dispatch is
     bit-for-bit invisible in the results (pinned by
     ``tests/radio/test_batch.py``).

@@ -63,6 +63,7 @@ class Adjacency:
         "_mask_buf",
         "_gather_arange",
         "_dense_buf",
+        "_count_matrix",
         "__weakref__",
     )
 
@@ -80,6 +81,7 @@ class Adjacency:
         self._mask_buf: np.ndarray | None = None
         self._gather_arange: np.ndarray | None = None
         self._dense_buf: np.ndarray | None = None
+        self._count_matrix: sp.csr_matrix | None = None
 
     # ------------------------------------------------------------------
     # Construction

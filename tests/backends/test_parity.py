@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.backends import NumpyBackend, available_backend_names, get_backend, use_backend
 from repro.backends import numpy_backend as numpy_backend_module
-from repro.graphs import gnp
+from repro.graphs import Adjacency, gnp
 from repro.obs import MetricsRegistry, Observer, use_observer
 
 
@@ -84,6 +84,7 @@ crossover_scenario = st.tuples(
     st.integers(min_value=0, max_value=10_000),  # mask seed
     st.floats(min_value=0.0, max_value=1.0),  # transmit density
     st.integers(min_value=1, max_value=9),  # repetitions
+    st.booleans(),  # trial-major layout (the batch engine's transposes)
 )
 
 
@@ -94,9 +95,11 @@ class TestCrossoverEquivalence:
     @given(crossover_scenario)
     @settings(max_examples=80, deadline=None)
     def test_both_paths_exactly_equal(self, params):
-        n, p, gseed, mseed, density, reps = params
+        n, p, gseed, mseed, density, reps, trial_major = params
         adj = gnp(n, p, seed=gseed)
         masks = np.random.default_rng(mseed).random((n, reps)) < density
+        if trial_major:
+            masks = np.ascontiguousarray(masks.T).T
 
         # The crossover picks matmul when work * scatter_cost >= nnz * R,
         # so a huge cost forces matmul and a zero cost forces scatter
@@ -110,6 +113,10 @@ class TestCrossoverEquivalence:
         via_scatter = always_scatter.neighbor_counts_batch(adj, masks)
         assert via_matmul.dtype == via_scatter.dtype == np.int64
         assert np.array_equal(via_matmul, via_scatter)
+        # Each path hands counts back in the input's orientation.
+        for counts in (via_matmul, via_scatter):
+            oriented = counts.T if trial_major else counts
+            assert oriented.flags.c_contiguous
         work = int(adj.degrees[masks.any(axis=1)].sum())
         if work:
             assert always_matmul._last_path == "matmul"
@@ -141,6 +148,40 @@ class TestMatmulBuffer:
         counts = backend.neighbor_counts_batch(adj, dense)
         assert adj._dense_buf is None
         assert np.array_equal(counts, _reference_counts(adj, dense != 0))
+
+
+class TestNarrowCountMatrix:
+    """The matmul path counts in the narrowest dtype that holds the
+    maximum degree, so the width must follow the graph."""
+
+    @pytest.mark.parametrize(
+        ("max_degree", "dtype"),
+        [(0, np.int16), (32767, np.int16), (32768, np.int32),
+         (2**31 - 1, np.int32), (2**31, np.int64)],
+    )
+    def test_count_dtype_holds_the_maximum_degree(self, max_degree, dtype):
+        assert numpy_backend_module._count_dtype(max_degree) == dtype
+
+    @pytest.mark.parametrize("trial_major", [False, True])
+    def test_hub_over_int16_counts_exactly(self, trial_major):
+        leaves = np.iinfo(np.int16).max + 2
+        star = Adjacency.from_edges(
+            leaves + 1, np.column_stack([np.zeros(leaves, np.int64),
+                                         np.arange(1, leaves + 1)])
+        )
+        masks = np.zeros((star.n, 2), dtype=bool)
+        masks[1:, 0] = True  # every leaf transmits: the hub hears them all
+        masks[0, 1] = True  # the hub transmits: every leaf hears it once
+        if trial_major:
+            masks = np.ascontiguousarray(masks.T).T
+        backend = NumpyBackend()
+        backend._scatter_cost = 1e18  # force the matmul path
+        counts = backend.neighbor_counts_batch(star, masks)
+        assert backend._last_path == "matmul"
+        assert star._count_matrix.dtype.itemsize > np.dtype(np.int16).itemsize
+        assert counts.dtype == np.int64
+        assert counts[0, 0] == leaves
+        assert np.array_equal(counts, _reference_counts(star, masks))
 
 
 class TestCalibration:
@@ -177,7 +218,11 @@ class TestCalibration:
         cache_dir = tmp_path / "repro-cache"
         first = NumpyBackend().calibrate()
         payload = json.loads((cache_dir / "scatter_cost.json").read_text())
-        assert payload == {"numpy": np.__version__, "scatter_cost": first}
+        assert payload == {
+            "numpy": np.__version__,
+            "kernel_revision": numpy_backend_module._KERNEL_REVISION,
+            "scatter_cost": first,
+        }
         # A fresh process (instance) reuses the persisted value without
         # measuring — the probe is rigged to blow up if consulted.
         monkeypatch.setattr(
@@ -201,7 +246,35 @@ class TestCalibration:
         assert NumpyBackend().calibrate() == 5.0
         # The stale entry was refreshed under the current version.
         payload = json.loads((cache_dir / "scatter_cost.json").read_text())
-        assert payload == {"numpy": np.__version__, "scatter_cost": 5.0}
+        assert payload == {
+            "numpy": np.__version__,
+            "kernel_revision": numpy_backend_module._KERNEL_REVISION,
+            "scatter_cost": 5.0,
+        }
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"scatter_cost": 24.1},  # written before revisions were recorded
+            {"kernel_revision": -1, "scatter_cost": 24.1},
+        ],
+        ids=["unrevisioned", "older-revision"],
+    )
+    def test_kernel_revision_mismatch_invalidates(self, tmp_path, monkeypatch, entry):
+        import json
+
+        cache_dir = tmp_path / "repro-cache"
+        cache_dir.mkdir(parents=True)
+        (cache_dir / "scatter_cost.json").write_text(
+            json.dumps({"numpy": np.__version__, **entry})
+        )
+        monkeypatch.setattr(
+            NumpyBackend, "_measure_scatter_cost", lambda self: 90.0
+        )
+        assert NumpyBackend().calibrate() == 90.0
+        payload = json.loads((cache_dir / "scatter_cost.json").read_text())
+        assert payload["kernel_revision"] == numpy_backend_module._KERNEL_REVISION
+        assert payload["scatter_cost"] == 90.0
 
     @pytest.mark.parametrize(
         "content",
@@ -210,6 +283,7 @@ class TestCalibration:
             '["not", "a", "dict"]',
             '{"numpy": null}',  # version mismatch
             '{"numpy": "%s", "scatter_cost": true}',  # bool is not a cost
+            '{"numpy": "%s", "kernel_revision": %d, "scatter_cost": true}',
         ],
     )
     def test_corrupt_cache_entries_remeasure(
@@ -217,7 +291,9 @@ class TestCalibration:
     ):
         cache_dir = tmp_path / "repro-cache"
         cache_dir.mkdir(parents=True)
-        if "%s" in content:
+        if "%d" in content:
+            content = content % (np.__version__, numpy_backend_module._KERNEL_REVISION)
+        elif "%s" in content:
             content = content % np.__version__
         (cache_dir / "scatter_cost.json").write_text(content)
         monkeypatch.setattr(
@@ -231,7 +307,11 @@ class TestCalibration:
         cache_dir = tmp_path / "repro-cache"
         cache_dir.mkdir(parents=True)
         (cache_dir / "scatter_cost.json").write_text(
-            json.dumps({"numpy": np.__version__, "scatter_cost": 1e9})
+            json.dumps({
+                "numpy": np.__version__,
+                "kernel_revision": numpy_backend_module._KERNEL_REVISION,
+                "scatter_cost": 1e9,
+            })
         )
         _lo, hi = numpy_backend_module._SCATTER_COST_BOUNDS
         assert NumpyBackend().calibrate() == hi
